@@ -8,6 +8,33 @@
 //! leaves clique territory. The per-level candidate sets are the custom
 //! enumerator state of Listing 6; when work is stolen the state is rebuilt
 //! from the prefix (Listing 6's `extend` chain replayed from scratch).
+//!
+//! This implementation is kClist's *local sub-DAG* variant. Every
+//! candidate below a root `r` lies in `r`'s sorted out-list `out(r)`, so
+//! after the root the enumerator works on local indices `j` into
+//! `out(r)`:
+//!
+//! - the second extend of a root builds `d × ⌈d/64⌉` bit rows, row `i`
+//!   marking which `out(r)[j]` lie in `out(out(r)[i])` (one scan of each
+//!   member's out-list; [`ExtensionKernels::build_rows`]). The rows stay
+//!   cached until another root needs them, so `k ≤ 2` count jobs never
+//!   build any;
+//! - each deeper extend pushes `parent & row[j]` onto the per-core word
+//!   stack ([`ExtensionKernels::push_row_level`]);
+//! - `compute_extensions` walks the set bits in ascending `j`. `out(r)` is
+//!   sorted by id, so words come out in ascending global id: extension
+//!   order, extension cost (`ec`, the candidate count) and work units
+//!   match a plain sorted-list intersection exactly;
+//! - a candidate is adjacent to every clique member, and each member
+//!   precedes it in DAG order, so each induced edge id is one binary
+//!   search of the candidate in that member's (short) DAG out-list. The
+//!   edges are pushed in ascending member id, the order
+//!   [`Subgraph::push_vertex_induced`] emits, so the subgraph state is
+//!   byte-identical to vertex-induced growth.
+//!
+//! Kernel counters follow the row conventions in [`fractal_graph::kernels`]:
+//! every intersection is a bitset call, and the edge lookups are not
+//! counted (vertex-induced edge collection never was).
 
 use crate::enumerator::SubgraphEnumerator;
 use crate::subgraph::Subgraph;
@@ -15,51 +42,93 @@ use fractal_graph::{ExtensionKernels, Graph, KernelCounters, VertexId};
 use std::sync::Arc;
 
 /// Degree-ordered DAG view of a graph, shared immutably among cores.
+///
+/// One flat CSR: `targets[offsets[v]..offsets[v + 1]]` are `v`'s
+/// out-neighbors (higher in degree order), sorted by id, and `edges` holds
+/// the graph edge id of each entry at the same position.
 #[derive(Debug)]
 pub struct CliqueDag {
-    /// `out[v]` = out-neighbors of `v` (higher degree-order), sorted by id.
-    out: Vec<Vec<u32>>,
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    edges: Vec<u32>,
 }
 
 impl CliqueDag {
     /// Orients `g`: `u → v` iff `(deg(u), u) < (deg(v), v)`.
     pub fn build(g: &Graph) -> Self {
         let n = g.num_vertices();
-        let mut out = vec![Vec::new(); n];
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(g.num_edges());
+        let mut edges = Vec::with_capacity(g.num_edges());
+        offsets.push(0);
         for v in 0..n as u32 {
             let dv = g.degree(VertexId(v));
-            for &u in g.neighbors(VertexId(v)) {
-                let du = g.degree(VertexId(u));
-                if (dv, v) < (du, u) {
-                    out[v as usize].push(u);
+            let nbrs = g.neighbors(VertexId(v));
+            let eids = g.incident_edges(VertexId(v));
+            for (&u, &e) in nbrs.iter().zip(eids) {
+                if (dv, v) < (g.degree(VertexId(u)), u) {
+                    targets.push(u);
+                    edges.push(e);
                 }
             }
             // CSR neighbors are sorted by id already, and the filter
             // preserves order.
-            debug_assert!(out[v as usize].windows(2).all(|w| w[0] < w[1]));
+            offsets.push(targets.len() as u32);
         }
-        CliqueDag { out }
+        CliqueDag {
+            offsets,
+            targets,
+            edges,
+        }
+    }
+
+    #[inline]
+    fn span(&self, v: u32) -> std::ops::Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
     }
 
     /// Out-neighbors of `v`, sorted by id.
     #[inline]
     pub fn out(&self, v: u32) -> &[u32] {
-        &self.out[v as usize]
+        &self.targets[self.span(v)]
+    }
+
+    /// Graph edge ids of `v`'s out-edges, parallel to [`out`](Self::out).
+    #[inline]
+    fn out_edges(&self, v: u32) -> &[u32] {
+        &self.edges[self.span(v)]
+    }
+
+    /// Position of `v` in `u`'s out-list. `v` must be an out-neighbor of
+    /// `u`: KClist only asks for candidates, which are adjacent to every
+    /// clique member and later than each in DAG order.
+    #[inline]
+    fn position(&self, u: u32, v: u32) -> usize {
+        // panic-ok: every candidate lies in each member's out-list (the
+        // candidate set is their intersection); a miss is an enumerator bug
+        // that must abort the count.
+        self.out(u)
+            .binary_search(&v)
+            .expect("candidate outside a member's DAG out-list")
     }
 }
 
-/// Custom enumerator listing cliques via candidate-set intersection
-/// (Listing 6/7).
+/// Custom enumerator listing cliques via local-bitset candidate sets
+/// (Listing 6/7; see the module docs).
 ///
-/// The per-level candidate sets live in the bump arena of
-/// [`ExtensionKernels`]: DFS levels are strictly nested, so each level is a
-/// contiguous arena region and retract is a truncation — no per-extension
-/// allocation. The arena is per-core scratch; a stolen unit rebuilds it by
-/// replaying the prefix ([`SubgraphEnumerator::rebuild`]).
+/// The rows and the per-level word stack live in [`ExtensionKernels`] and
+/// are per-core scratch; a stolen unit rebuilds them by replaying the
+/// prefix ([`SubgraphEnumerator::rebuild`]).
 pub struct KClistEnumerator {
     dag: Arc<CliqueDag>,
-    /// Arena-backed candidate-set stack + hybrid intersection kernels.
+    /// Local rows + word-level candidate stack.
     kernels: ExtensionKernels,
+    /// The root whose rows `kernels` currently holds (`u32::MAX` = none).
+    rows_root: u32,
+    /// `(member, edge id)` scratch for one extend's induced edges.
+    member_edges: Vec<(u32, u32)>,
+    /// The same edge ids in member-id order, for `push_matched`.
+    edge_ids: Vec<u32>,
 }
 
 impl KClistEnumerator {
@@ -73,6 +142,9 @@ impl KClistEnumerator {
         KClistEnumerator {
             dag,
             kernels: ExtensionKernels::new(),
+            rows_root: u32::MAX,
+            member_edges: Vec::new(),
+            edge_ids: Vec::new(),
         }
     }
 
@@ -85,34 +157,63 @@ impl KClistEnumerator {
 impl SubgraphEnumerator for KClistEnumerator {
     fn compute_extensions(&mut self, g: &Graph, sg: &Subgraph, out: &mut Vec<u64>) -> u64 {
         out.clear();
-        if sg.num_vertices() == 0 {
+        let Some(&root) = sg.vertices().first() else {
             out.extend(0..g.num_vertices() as u64);
             return g.num_vertices() as u64;
+        };
+        let cands = self.dag.out(root);
+        if sg.num_vertices() == 1 {
+            out.extend(cands.iter().map(|&v| v as u64));
+            return cands.len() as u64;
         }
-        debug_assert_eq!(self.kernels.depth(), sg.num_vertices());
-        let cands = self.kernels.top();
-        out.extend(cands.iter().map(|&v| v as u64));
-        cands.len() as u64
+        debug_assert_eq!(self.rows_root, root);
+        for (wi, &word) in self.kernels.top_level().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(cands[wi * 64 + bits.trailing_zeros() as usize] as u64);
+                bits &= bits - 1;
+            }
+        }
+        out.len() as u64
     }
 
-    fn extend(&mut self, g: &Graph, sg: &mut Subgraph, word: u64) {
+    fn extend(&mut self, _g: &Graph, sg: &mut Subgraph, word: u64) {
         let v = word as u32;
-        self.kernels.ensure_universe(g.num_vertices());
-        if self.kernels.depth() == 0 {
-            self.kernels.push_level_copy(self.dag.out(v));
-        } else {
-            self.kernels.push_level_intersect(self.dag.out(v));
+        let Some(&root) = sg.vertices().first() else {
+            sg.push_matched(v, &[]);
+            return;
+        };
+        let dag = &*self.dag;
+        let j = dag.position(root, v);
+        if sg.num_vertices() == 1 && self.rows_root != root {
+            self.kernels.build_rows(dag.out(root), |u| dag.out(u));
+            self.rows_root = root;
         }
-        sg.push_vertex_induced(g, v);
+        self.kernels.push_row_level(j);
+        // Induced edges in ascending member id, as vertex-induced growth
+        // emits them (its scan follows v's id-sorted adjacency).
+        self.member_edges.clear();
+        self.member_edges.push((root, dag.out_edges(root)[j]));
+        for &m in &sg.vertices()[1..] {
+            self.member_edges
+                .push((m, dag.out_edges(m)[dag.position(m, v)]));
+        }
+        self.member_edges.sort_unstable();
+        self.edge_ids.clear();
+        self.edge_ids
+            .extend(self.member_edges.iter().map(|&(_, e)| e));
+        sg.push_matched(v, &self.edge_ids);
     }
 
     fn retract(&mut self, _g: &Graph, sg: &mut Subgraph) {
-        self.kernels.pop_level();
-        sg.pop_vertex_induced();
+        if sg.num_vertices() >= 2 {
+            self.kernels.pop_row_level();
+        }
+        sg.pop_matched();
     }
 
     fn reset_state(&mut self, _g: &Graph) {
-        self.kernels.reset_levels();
+        self.kernels.clear_row_levels();
     }
 
     fn take_kernel_counters(&mut self) -> KernelCounters {

@@ -4,7 +4,9 @@
 use fractal_enum::enumerator::{
     EdgeInducedEnumerator, PatternEnumerator, SubgraphEnumerator, VertexInducedEnumerator,
 };
+use fractal_enum::kclist::CliqueDag;
 use fractal_enum::{KClistEnumerator, Subgraph};
+use fractal_graph::builder::unlabeled_from_edges;
 use fractal_graph::{Graph, GraphBuilder, Label, VertexId};
 use fractal_pattern::{ExplorationPlan, Pattern};
 use proptest::prelude::*;
@@ -88,6 +90,110 @@ fn oracle_connected_vertex_sets(g: &Graph, k: usize) -> BTreeSet<BTreeSet<u32>> 
     out
 }
 
+/// Listing 2's generic clique search: vertex-induced growth that only
+/// keeps a prefix whose newest vertex is adjacent to all earlier ones.
+/// Returns the number of `k`-cliques for every `k` in `1..=kmax`
+/// (index `k - 1`).
+fn generic_clique_counts(g: &Graph, kmax: usize) -> Vec<usize> {
+    fn rec(g: &Graph, en: &mut VertexInducedEnumerator, sg: &mut Subgraph, counts: &mut [usize]) {
+        if sg.last_level_edge_count() + 1 != sg.num_vertices() {
+            return;
+        }
+        counts[sg.num_vertices() - 1] += 1;
+        if sg.num_vertices() == counts.len() {
+            return;
+        }
+        let mut exts = Vec::new();
+        en.compute_extensions(g, sg, &mut exts);
+        for w in exts {
+            en.extend(g, sg, w);
+            rec(g, en, sg, counts);
+            en.retract(g, sg);
+        }
+    }
+    let mut counts = vec![0; kmax];
+    let mut en = VertexInducedEnumerator::new();
+    let mut sg = Subgraph::new(g);
+    let mut exts = Vec::new();
+    en.compute_extensions(g, &sg, &mut exts);
+    for w in exts {
+        en.extend(g, &mut sg, w);
+        rec(g, &mut en, &mut sg, &mut counts);
+        en.retract(g, &mut sg);
+    }
+    counts
+}
+
+/// Counts KClist's `k`-cliques the way the engine's count mode does: the
+/// last level's extensions are tallied, not applied.
+fn kclist_count(g: &Graph, en: &mut KClistEnumerator, sg: &mut Subgraph, k: usize) -> u64 {
+    let mut exts = Vec::new();
+    en.compute_extensions(g, sg, &mut exts);
+    if k == 1 {
+        return exts.len() as u64;
+    }
+    let mut n = 0;
+    for w in exts {
+        en.extend(g, sg, w);
+        n += kclist_count(g, en, sg, k - 1);
+        en.retract(g, sg);
+    }
+    n
+}
+
+/// A graph whose DAG has a vertex with out-degree `width`: a root `0`
+/// adjacent to `width` members, each member with `width` private leaves
+/// (so every member outranks the root in degree order), and `4·width`
+/// random member–member edges that make triangles and 4-cliques through
+/// the root.
+fn wide_dag_graph(width: usize, seed: u64) -> Graph {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut next = move |m: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as usize) % m
+    };
+    let w = width as u32;
+    let mut edges = BTreeSet::new();
+    for m in 1..=w {
+        edges.insert((0, m));
+        let leaves = w + 1 + (m - 1) * w;
+        for leaf in leaves..leaves + w {
+            edges.insert((m, leaf));
+        }
+    }
+    for _ in 0..4 * width {
+        let (a, b) = (1 + next(width) as u32, 1 + next(width) as u32);
+        if a != b {
+            edges.insert((a.min(b), a.max(b)));
+        }
+    }
+    let edges: Vec<(u32, u32)> = edges.into_iter().collect();
+    unlabeled_from_edges(1 + width + width * width, &edges)
+}
+
+/// The subgraph vertex-induced growth builds from the same vertex order.
+fn vertex_induced_snapshot(g: &Graph, vertices: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut sg = Subgraph::new(g);
+    for &v in vertices {
+        sg.push_vertex_induced(g, v);
+    }
+    sg.snapshot()
+}
+
+/// The widest local row set any root of `dag` needs.
+fn max_out_degree(g: &Graph, dag: &CliqueDag) -> usize {
+    (0..g.num_vertices() as u32)
+        .map(|v| dag.out(v).len())
+        .max()
+        .unwrap_or(0)
+}
+
+fn binomial(n: u64, k: u64) -> u64 {
+    (0..k).fold(1, |acc, i| acc * (n - i) / (i + 1))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -132,6 +238,47 @@ proptest! {
         let b: BTreeSet<BTreeSet<u32>> =
             generic.iter().map(|(vs, _)| vs.iter().copied().collect()).collect();
         prop_assert_eq!(a, b);
+    }
+
+
+    /// KClist's subgraph state is byte-identical to vertex-induced growth
+    /// after every extend, and a thief that rebuilds any visited prefix
+    /// reaches the same state and the same extensions.
+    #[test]
+    fn kclist_state_matches_vertex_induced(g in arb_graph()) {
+        fn rec(
+            g: &Graph,
+            en: &mut KClistEnumerator,
+            sg: &mut Subgraph,
+            depth: usize,
+        ) -> Result<(), TestCaseError> {
+            let mut exts = Vec::new();
+            en.compute_extensions(g, sg, &mut exts);
+            if sg.num_vertices() > 0 {
+                let prefix: Vec<u64> = sg.vertices().iter().map(|&v| v as u64).collect();
+                let mut thief = KClistEnumerator::with_dag(en.dag());
+                let mut sg2 = Subgraph::new(g);
+                thief.rebuild(g, &mut sg2, &prefix);
+                prop_assert_eq!(sg2.snapshot(), sg.snapshot());
+                let mut exts2 = Vec::new();
+                thief.compute_extensions(g, &sg2, &mut exts2);
+                prop_assert_eq!(&exts2, &exts);
+            }
+            if depth == 0 {
+                return Ok(());
+            }
+            for w in exts {
+                en.extend(g, sg, w);
+                prop_assert_eq!(sg.snapshot(), vertex_induced_snapshot(g, sg.vertices()));
+                rec(g, en, sg, depth - 1)?;
+                en.retract(g, sg);
+            }
+            Ok(())
+        }
+        let mut en = KClistEnumerator::new(&g);
+        let mut sg = Subgraph::new(&g);
+        rec(&g, &mut en, &mut sg, 4)?;
+        prop_assert!(sg.is_empty());
     }
 
     /// Pattern-induced triangle matching agrees with clique filtering, and
@@ -273,4 +420,64 @@ fn labeled_pattern_matching_oracle() {
         }
     }
     assert_eq!(matches.len(), expect);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Multi-word local rows (a root with more than 64 DAG out-neighbors)
+    /// count exactly the cliques of the generic clique filter, and the
+    /// subgraph state stays byte-identical to vertex-induced growth.
+    #[test]
+    fn kclist_two_word_rows_agree_with_generic(width in 65usize..80, seed in 0u64..1000) {
+        let g = wide_dag_graph(width, seed);
+        let dag = Arc::new(CliqueDag::build(&g));
+        prop_assert!(max_out_degree(&g, &dag) > 64);
+        let generic = generic_clique_counts(&g, 4);
+        prop_assert!(generic[3] > 0, "no 4-cliques to compare");
+        let mut en = KClistEnumerator::with_dag(dag.clone());
+        let mut sg = Subgraph::new(&g);
+        for k in 1..=4 {
+            let got = kclist_count(&g, &mut en, &mut sg, k);
+            prop_assert_eq!(got as usize, generic[k - 1], "k {}", k);
+        }
+        for (vs, es) in run(&g, Box::new(KClistEnumerator::with_dag(dag)), 3) {
+            prop_assert_eq!((vs.clone(), es), vertex_induced_snapshot(&g, &vs));
+        }
+    }
+
+    /// Rows of three words and more (out-degree above 128).
+    #[test]
+    fn kclist_three_word_rows_agree_with_generic(width in 129usize..140, seed in 0u64..1000) {
+        let g = wide_dag_graph(width, seed);
+        let dag = Arc::new(CliqueDag::build(&g));
+        prop_assert!(max_out_degree(&g, &dag) > 128);
+        let generic = generic_clique_counts(&g, 4);
+        prop_assert!(generic[3] > 0, "no 4-cliques to compare");
+        let mut en = KClistEnumerator::with_dag(dag.clone());
+        let mut sg = Subgraph::new(&g);
+        for k in 1..=4 {
+            let got = kclist_count(&g, &mut en, &mut sg, k);
+            prop_assert_eq!(got as usize, generic[k - 1], "k {}", k);
+        }
+    }
+}
+
+/// `complete(70)`: every vertex's DAG out-list spans up to 69 vertices
+/// (two-word rows) and every subset is a clique, so the counts are the
+/// binomials C(70, k).
+#[test]
+fn kclist_complete_70_binomials() {
+    let g = fractal_graph::gen::complete(70);
+    let mut en = KClistEnumerator::new(&g);
+    assert_eq!(max_out_degree(&g, &en.dag()), 69);
+    let mut sg = Subgraph::new(&g);
+    for k in 1..=5u64 {
+        assert_eq!(
+            kclist_count(&g, &mut en, &mut sg, k as usize),
+            binomial(70, k),
+            "k {k}"
+        );
+        assert!(sg.is_empty());
+    }
 }

@@ -20,7 +20,7 @@
 //!
 //! The crossover between the three paths is decided per call from the
 //! relative set sizes; every invocation is tallied into [`KernelCounters`]
-//! (per-path call counts, elements scanned, arena high-water mark) so the
+//! (per-path call counts, elements scanned, scratch high-water mark) so the
 //! heuristic stays observable through the flight recorder and the CI perf
 //! gate.
 //!
@@ -30,13 +30,25 @@
 //! bound with a binary search, so candidates ruled out by a
 //! `must_be_greater_than` constraint are never scanned at all.
 //!
-//! Candidate sets themselves live in a per-core bump arena
-//! ([`ExtensionKernels`] level stack): DFS levels are strictly nested, so
-//! a level is one contiguous arena region and push/pop is a truncation —
-//! no per-extension `Vec` allocation. The arena is worker-local scratch
-//! only: a stolen task re-derives its candidate stack from the
-//! from-scratch prefix (`SubgraphEnumerator::rebuild`), so arenas never
-//! travel in steal messages.
+//! **Local bit rows** serve the KClist enumerator (Appendix B). Once a
+//! clique root `r` is fixed, every later candidate lies in the root's
+//! sorted DAG out-list `out(r)` of length `d`, so candidate sets become
+//! `⌈d/64⌉`-word bitsets over local indices into `out(r)`.
+//! [`ExtensionKernels::build_rows`] scans each member's out-list once into
+//! row `i` = "which `out(r)[j]` lie in `out(out(r)[i])`"; each deeper level
+//! is then `parent & row[j]`, pushed onto a per-core word stack
+//! ([`ExtensionKernels::push_row_level`]). Push and pop are a word copy and
+//! a truncation, with no per-extension allocation. Counter conventions: the
+//! build itself tallies nothing; opening the first level from row `j`
+//! tallies one bitset call scanning that row's build cost (the member's
+//! out-list plus its two map touches), and every `AND` level tallies one
+//! bitset call scanning `⌈d/64⌉` words. Counts are thus a function of the
+//! extends performed (a thief's prefix replay included, as for every
+//! enumerator), not of which core built or reused the rows. The rows and
+//! levels are worker-local scratch only: a stolen task re-derives them from
+//! the from-scratch prefix (`SubgraphEnumerator::rebuild`), so they never
+//! travel in steal messages, and `arena_high_water_bytes` reports their
+//! peak capacity together with the other scratch buffers.
 
 /// Size ratio at which the galloping path takes over from sorted-merge.
 pub const GALLOP_RATIO: usize = 16;
@@ -60,7 +72,8 @@ pub struct KernelCounters {
     pub bitset_calls: u64,
     /// Total elements scanned across all kernel invocations.
     pub elements_scanned: u64,
-    /// Peak resident bytes of the candidate-set arena (+ scratch).
+    /// Peak resident bytes of the per-core scratch (rows, levels, bitset
+    /// and union buffers).
     pub arena_high_water_bytes: u64,
 }
 
@@ -265,13 +278,15 @@ pub fn collect_induced_edges(
     }
 }
 
-/// Per-core kernel state: the bump-arena candidate-set stack, the bitset
-/// scratch for the mark/probe path, and the accumulated counters.
+/// Per-core kernel state: the bitset scratch for the mark/probe path, the
+/// local bit rows and word-level candidate stack of the KClist
+/// enumerator, the union scratch, and the accumulated counters.
 ///
 /// One instance lives inside each enumerator clone (one per core); it is
-/// **never** shipped with stolen work — a thief rebuilds its own stack by
-/// replaying the stolen prefix, and [`reset_levels`](Self::reset_levels)
-/// keeps the allocations warm across units.
+/// **never** shipped with stolen work — a thief rebuilds its own rows and
+/// levels by replaying the stolen prefix, and
+/// [`clear_row_levels`](Self::clear_row_levels) keeps the allocations warm
+/// across units.
 #[derive(Debug, Default, Clone)]
 pub struct ExtensionKernels {
     /// Accumulated path counters, drained by the runtime per work unit.
@@ -280,10 +295,16 @@ pub struct ExtensionKernels {
     universe: usize,
     /// Bitset scratch words (`universe / 64` once sized).
     bits: Vec<u64>,
-    /// Bump arena holding all live candidate sets, contiguously.
-    arena: Vec<u32>,
-    /// Start offset of each live level inside `arena`.
-    marks: Vec<usize>,
+    /// Id → local-index map used while building rows (`u32::MAX` = absent).
+    local: Vec<u32>,
+    /// Local adjacency bit rows, `row_words` words each.
+    rows: Vec<u64>,
+    /// Elements each row's build scanned, charged when a level opens on it.
+    row_cost: Vec<u32>,
+    /// Words per row and per level.
+    row_words: usize,
+    /// Live candidate levels, `row_words` words each, deepest last.
+    levels: Vec<u64>,
     /// Double-buffer scratch for multi-way unions.
     scratch_a: Vec<u32>,
     scratch_b: Vec<u32>,
@@ -312,17 +333,21 @@ impl ExtensionKernels {
         &self.counters
     }
 
-    /// Drains the counters (stamping the current arena high-water mark).
+    /// Drains the counters (stamping the current high-water mark; buffer
+    /// capacities never shrink, so stamping here misses no peak).
     pub fn take_counters(&mut self) -> KernelCounters {
         self.note_high_water();
         self.counters.take()
     }
 
-    /// Resident bytes of the arena + scratch buffers.
+    /// Resident bytes of the rows, levels and scratch buffers.
     pub fn resident_bytes(&self) -> usize {
-        (self.arena.capacity() + self.scratch_a.capacity() + self.scratch_b.capacity()) * 4
-            + self.bits.capacity() * 8
-            + self.marks.capacity() * std::mem::size_of::<usize>()
+        (self.local.capacity()
+            + self.row_cost.capacity()
+            + self.scratch_a.capacity()
+            + self.scratch_b.capacity())
+            * 4
+            + (self.bits.capacity() + self.rows.capacity() + self.levels.capacity()) * 8
     }
 
     fn note_high_water(&mut self) {
@@ -332,199 +357,90 @@ impl ExtensionKernels {
         }
     }
 
-    // ---- candidate-set level stack (bump arena) ----
+    // ---- local bit rows + word-level candidate stack ----
 
-    /// Number of live levels.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// The top (deepest) candidate set.
-    #[inline]
-    pub fn top(&self) -> &[u32] {
-        // panic-ok: callers never read top() of an empty stack — a level is
-        // pushed before any read (enumerator recursion invariant).
-        let lo = *self.marks.last().expect("no live level");
-        &self.arena[lo..]
-    }
-
-    /// Opens a new level initialized with a copy of `src`.
-    pub fn push_level_copy(&mut self, src: &[u32]) {
-        self.marks.push(self.arena.len());
-        self.arena.extend_from_slice(src);
-        self.note_high_water();
-    }
-
-    /// Opens a new level holding `top() ∩ other`, choosing the kernel path
-    /// adaptively. The parent level is read in place while the result is
-    /// bump-allocated behind it.
-    pub fn push_level_intersect(&mut self, other: &[u32]) {
-        // panic-ok: intersect is only called with a parent level open;
-        // enforced by the enumerator's push/pop pairing.
-        let plo = *self.marks.last().expect("no parent level");
-        let phi = self.arena.len();
-        self.marks.push(phi);
-        let (slen, llen) = ((phi - plo).min(other.len()), (phi - plo).max(other.len()));
-        if slen == 0 {
-            return;
+    /// Builds the local adjacency rows of `set` (sorted, distinct ids):
+    /// row `i` has bit `j` set iff `set[j] ∈ adj(set[i])`. Rows are
+    /// `⌈|set|/64⌉` words wide (at least one), so any `|set|` fits.
+    /// Drops every live level (they index the previous rows).
+    ///
+    /// Each row is one scan of `adj(set[i])` through a per-core
+    /// id → local-index map. Nothing is tallied here: row `i`'s cost,
+    /// `|adj(set[i])|` plus its map mark and clear, is charged when a
+    /// level is opened from it ([`push_row_level`](Self::push_row_level)).
+    pub fn build_rows<'a>(&mut self, set: &[u32], adj: impl Fn(u32) -> &'a [u32]) {
+        debug_assert!(set.windows(2).all(|w| w[0] < w[1]));
+        let words = set.len().div_ceil(64).max(1);
+        self.row_words = words;
+        self.levels.clear();
+        self.rows.clear();
+        self.rows.resize(set.len() * words, 0);
+        self.row_cost.clear();
+        // Sized exactly (no amortized doubling): the map is the largest
+        // per-core buffer, up to one entry per vertex.
+        let need = set.last().map_or(0, |&max| max as usize + 1);
+        if self.local.len() < need {
+            self.local.reserve_exact(need - self.local.len());
+            self.local.resize(need, u32::MAX);
         }
-        if llen / slen >= GALLOP_RATIO {
-            self.gallop_parent(plo, phi, other);
-        } else if slen >= BITSET_MIN && self.fits_universe(phi - plo, other) {
-            self.bitset_parent(plo, phi, other);
-        } else {
-            self.merge_parent(plo, phi, other);
+        for (j, &u) in set.iter().enumerate() {
+            self.local[u as usize] = j as u32;
         }
-        self.note_high_water();
-    }
-
-    /// Closes the top level, reclaiming its arena region.
-    pub fn pop_level(&mut self) {
-        // panic-ok: pop pairs a prior push in the same recursion; underflow is
-        // a kernel bug that must abort the count.
-        let lo = self.marks.pop().expect("pop on empty level stack");
-        self.arena.truncate(lo);
-    }
-
-    /// Drops all levels (keeps capacity warm). Called when a stolen unit's
-    /// prefix is about to be replayed from scratch.
-    pub fn reset_levels(&mut self) {
-        self.marks.clear();
-        self.arena.clear();
-    }
-
-    fn fits_universe(&self, parent_len: usize, other: &[u32]) -> bool {
-        if self.universe == 0 {
-            return false;
-        }
-        let pmax = if parent_len == 0 {
-            0
-        } else {
-            self.arena[self.arena.len() - 1]
-        };
-        let omax = other.last().copied().unwrap_or(0);
-        (pmax.max(omax) as usize) < self.universe
-    }
-
-    /// Merge path over an arena parent: reads `arena[plo..phi]` by index
-    /// while pushing behind `phi` (pushes may reallocate, so no borrows are
-    /// held across them).
-    fn merge_parent(&mut self, plo: usize, phi: usize, other: &[u32]) {
-        self.counters.merge_calls += 1;
-        let (mut i, mut j) = (plo, 0usize);
-        while i < phi && j < other.len() {
-            let x = self.arena[i];
-            match x.cmp(&other[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    self.arena.push(x);
-                    i += 1;
-                    j += 1;
+        for (i, &u) in set.iter().enumerate() {
+            let row = &mut self.rows[i * words..(i + 1) * words];
+            let nbrs = adj(u);
+            self.row_cost.push(nbrs.len() as u32 + 2);
+            for &x in nbrs {
+                let j = self.local.get(x as usize).copied().unwrap_or(u32::MAX);
+                if j != u32::MAX {
+                    row[(j >> 6) as usize] |= 1 << (j & 63);
                 }
             }
         }
-        self.counters.elements_scanned += (i - plo + j) as u64;
-    }
-
-    /// Gallop path over an arena parent: searches the smaller side's
-    /// elements inside the larger side.
-    fn gallop_parent(&mut self, plo: usize, phi: usize, other: &[u32]) {
-        let parent_len = phi - plo;
-        if parent_len <= other.len() {
-            // Parent is small: gallop each parent element through `other`.
-            self.counters.gallop_calls += 1;
-            let mut from = 0usize;
-            let mut probes = 0u64;
-            for i in plo..phi {
-                let x = self.arena[i];
-                let mut step = 1usize;
-                while from + step < other.len() && other[from + step] < x {
-                    step <<= 1;
-                    probes += 1;
-                }
-                let hi = (from + step + 1).min(other.len());
-                let idx = from + other[from..hi].partition_point(|&y| y < x);
-                probes += (hi - from).max(1).ilog2() as u64 + 1;
-                if idx < other.len() && other[idx] == x {
-                    self.arena.push(x);
-                    from = idx + 1;
-                } else {
-                    from = idx;
-                }
-                if from >= other.len() {
-                    break;
-                }
-            }
-            self.counters.elements_scanned += parent_len as u64 + probes;
-        } else {
-            // `other` is small: gallop its elements through the parent
-            // region (index-based binary searches into the arena).
-            self.counters.gallop_calls += 1;
-            let mut from = plo;
-            let mut probes = 0u64;
-            for &x in other {
-                let mut step = 1usize;
-                while from + step < phi && self.arena[from + step] < x {
-                    step <<= 1;
-                    probes += 1;
-                }
-                let hi = (from + step + 1).min(phi);
-                let idx = from + self.arena[from..hi].partition_point(|&y| y < x);
-                probes += (hi - from).max(1).ilog2() as u64 + 1;
-                if idx < phi && self.arena[idx] == x {
-                    self.arena.push(x);
-                    from = idx + 1;
-                } else {
-                    from = idx;
-                }
-                if from >= phi {
-                    break;
-                }
-            }
-            self.counters.elements_scanned += other.len() as u64 + probes;
+        for &u in set {
+            self.local[u as usize] = u32::MAX;
         }
     }
 
-    /// Bitset path over an arena parent: mark the smaller side, probe the
-    /// larger side (branch-free word tests), clear only the marked bits.
-    fn bitset_parent(&mut self, plo: usize, phi: usize, other: &[u32]) {
+    /// Opens a level: a copy of row `j` when no level is live (one bitset
+    /// call charged with the row's build cost), otherwise `top & row(j)`
+    /// (one bitset call scanning `row_words` words).
+    pub fn push_row_level(&mut self, j: usize) {
+        let w = self.row_words;
+        let lo = self.levels.len();
         self.counters.bitset_calls += 1;
-        let parent_len = phi - plo;
-        if parent_len <= other.len() {
-            for i in plo..phi {
-                let v = self.arena[i] as usize;
-                self.bits[v >> 6] |= 1 << (v & 63);
-            }
-            for &u in other {
-                if self.bits[(u as usize) >> 6] >> (u & 63) & 1 == 1 {
-                    self.arena.push(u);
-                }
-            }
-            for i in plo..phi {
-                let v = self.arena[i] as usize;
-                self.bits[v >> 6] &= !(1 << (v & 63));
-            }
-            self.counters.elements_scanned += (2 * parent_len + other.len()) as u64;
+        if lo == 0 {
+            self.levels
+                .extend_from_slice(&self.rows[j * w..(j + 1) * w]);
+            self.counters.elements_scanned += self.row_cost[j] as u64;
         } else {
-            for &u in other {
-                self.bits[(u as usize) >> 6] |= 1 << (u & 63);
+            for t in 0..w {
+                let x = self.levels[lo - w + t] & self.rows[j * w + t];
+                self.levels.push(x);
             }
-            for i in plo..phi {
-                let v = self.arena[i];
-                if self.bits[(v as usize) >> 6] >> (v & 63) & 1 == 1 {
-                    self.arena.push(v);
-                }
-            }
-            for &u in other {
-                self.bits[(u as usize) >> 6] &= !(1 << (u & 63));
-            }
-            self.counters.elements_scanned += (2 * other.len() + parent_len) as u64;
+            self.counters.elements_scanned += w as u64;
         }
     }
 
-    // ---- flat (non-arena) intersections with bitset support ----
+    /// The deepest live level (empty when none is live).
+    #[inline]
+    pub fn top_level(&self) -> &[u64] {
+        &self.levels[self.levels.len().saturating_sub(self.row_words)..]
+    }
+
+    /// Closes the deepest level.
+    #[inline]
+    pub fn pop_row_level(&mut self) {
+        debug_assert!(self.levels.len() >= self.row_words);
+        self.levels.truncate(self.levels.len() - self.row_words);
+    }
+
+    /// Drops every live level, keeping the rows and all capacity warm.
+    /// Called before a stolen unit's prefix is replayed from scratch.
+    pub fn clear_row_levels(&mut self) {
+        self.levels.clear();
+    }
+    // ---- flat intersections with bitset support ----
 
     /// Hybrid intersection into a caller buffer, with the bitset path
     /// available (unlike the free [`intersect`]).
@@ -780,32 +696,59 @@ mod tests {
         assert_eq!(seek_below(seek_above(&a, 2), 11), &[5, 8]);
     }
 
+    /// Progressive intersection over local indices, the reference the
+    /// row levels must reproduce.
+    fn naive_rows(set: &[u32], adj: &[Vec<u32>], path: &[usize]) -> Vec<usize> {
+        (0..set.len())
+            .filter(|&j| path.iter().all(|&i| adj[i].binary_search(&set[j]).is_ok()))
+            .collect()
+    }
+
+    fn bits_of(words: &[u64]) -> Vec<usize> {
+        (0..words.len() * 64)
+            .filter(|&j| words[j / 64] >> (j % 64) & 1 == 1)
+            .collect()
+    }
+
     #[test]
-    fn arena_levels_nest_and_reset() {
+    fn row_levels_nest_and_clear() {
+        // set = [2, 5, 9]; adj lists over global ids.
+        let set = [2u32, 5, 9];
+        let adj = [vec![1, 5, 9], vec![9, 11], vec![]];
         let mut k = ExtensionKernels::new();
-        k.ensure_universe(64);
-        k.push_level_copy(&[1, 2, 3, 5, 8]);
-        assert_eq!(k.top(), &[1, 2, 3, 5, 8]);
-        k.push_level_intersect(&[2, 3, 4, 8]);
-        assert_eq!(k.top(), &[2, 3, 8]);
-        k.push_level_intersect(&[8]);
-        assert_eq!(k.top(), &[8]);
-        assert_eq!(k.depth(), 3);
-        k.pop_level();
-        assert_eq!(k.top(), &[2, 3, 8]);
-        k.push_level_intersect(&[]);
-        assert!(k.top().is_empty());
-        k.reset_levels();
-        assert_eq!(k.depth(), 0);
+        k.build_rows(
+            &set,
+            |u| &adj[set.iter().position(|&x| x == u).unwrap()][..],
+        );
+        assert!(k.top_level().is_empty());
+        for (j, want) in [vec![1, 2], vec![2], vec![]].into_iter().enumerate() {
+            k.push_row_level(j);
+            assert_eq!(k.top_level().len(), 1);
+            assert_eq!(bits_of(k.top_level()), want);
+            k.pop_row_level();
+        }
+        k.take_counters();
+        k.push_row_level(0);
+        assert_eq!(bits_of(k.top_level()), vec![1, 2]);
+        k.push_row_level(1);
+        assert_eq!(bits_of(k.top_level()), vec![2]);
+        k.pop_row_level();
+        assert_eq!(bits_of(k.top_level()), vec![1, 2]);
+        k.clear_row_levels();
+        assert!(k.top_level().is_empty());
         let c = k.take_counters();
+        // Two levels: row 0 (3 adjacency entries + 2 map touches), then
+        // one AND over one word. The unused rows cost nothing.
+        assert_eq!((c.bitset_calls, c.elements_scanned), (2, 6));
         assert!(c.arena_high_water_bytes > 0);
         assert!(k.counters().is_empty());
     }
 
     #[test]
-    fn arena_intersect_matches_naive_on_random_chains() {
-        // Pseudo-random sorted sets via a fixed LCG; compare the arena
-        // chain against naive progressive intersection.
+    fn multi_word_rows_match_naive_on_random_chains() {
+        // Pseudo-random sets (up to 300 members, so up to five words per
+        // row) via a fixed LCG; compare every level against naive
+        // progressive intersection.
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut next = move |m: u32| {
             state = state
@@ -813,25 +756,39 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as u32) % m
         };
+        let mut k = ExtensionKernels::new();
         for trial in 0..50 {
-            let mut k = ExtensionKernels::new();
-            k.ensure_universe(2048);
-            let mk = |next: &mut dyn FnMut(u32) -> u32| {
-                let len = next(300) as usize;
+            let mut mk = |len: u32| {
+                let len = next(len) as usize;
                 let mut v: Vec<u32> = (0..len).map(|_| next(2048)).collect();
                 v.sort_unstable();
                 v.dedup();
                 v
             };
-            let base = mk(&mut next);
-            k.push_level_copy(&base);
-            let mut want = base.clone();
-            for _ in 0..4 {
-                let other = mk(&mut next);
-                k.push_level_intersect(&other);
-                want.retain(|x| other.binary_search(x).is_ok());
-                assert_eq!(k.top(), &want[..], "trial {trial}");
+            let set = mk(300);
+            let adj: Vec<Vec<u32>> = set.iter().map(|_| mk(600)).collect();
+            k.build_rows(&set, |u| &adj[set.binary_search(&u).unwrap()][..]);
+            if set.is_empty() {
+                continue;
             }
+            let mut path = Vec::new();
+            for _ in 0..4 {
+                let j = next(set.len() as u32) as usize;
+                path.push(j);
+                k.push_row_level(j);
+                assert_eq!(
+                    bits_of(k.top_level()),
+                    naive_rows(&set, &adj, &path),
+                    "trial {trial}"
+                );
+            }
+            path.pop();
+            k.pop_row_level();
+            assert_eq!(
+                bits_of(k.top_level()),
+                naive_rows(&set, &adj, &path),
+                "trial {trial}"
+            );
         }
     }
 

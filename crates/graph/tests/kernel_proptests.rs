@@ -1,8 +1,7 @@
 //! Property tests for the extension hot-path kernels: every variant
 //! (merge / gallop / bitset / adaptive, with and without the lower-bound
 //! filter) must equal the naive reference intersection on random sorted
-//! sets and on Mico-like generated graphs, and the arena level stack must
-//! behave exactly like a stack of freshly-allocated `Vec`s.
+//! sets and on Mico-like generated graphs.
 
 use fractal_graph::kernels::{
     gallop_into, intersect, intersect_above, merge_into, seek_above, ExtensionKernels,
@@ -152,33 +151,6 @@ proptest! {
                 .expect("union element missing from every list");
             prop_assert_eq!(a as usize, want);
         }
-    }
-
-    #[test]
-    fn arena_stack_equals_vec_stack(
-        base in arb_sorted_set(512, 200),
-        others in proptest::collection::vec(arb_sorted_set(512, 200), 1..5),
-        pops in 0usize..3,
-    ) {
-        let mut k = ExtensionKernels::new();
-        k.ensure_universe(512);
-        // Reference: a stack of owned Vecs.
-        let mut stack: Vec<Vec<u32>> = vec![base.clone()];
-        k.push_level_copy(&base);
-        for o in &others {
-            let top = stack.last().unwrap();
-            stack.push(naive_intersect(top, o));
-            k.push_level_intersect(o);
-            prop_assert_eq!(k.top(), &stack.last().unwrap()[..]);
-        }
-        for _ in 0..pops.min(others.len()) {
-            stack.pop();
-            k.pop_level();
-            prop_assert_eq!(k.top(), &stack.last().unwrap()[..]);
-        }
-        prop_assert_eq!(k.depth(), stack.len());
-        k.reset_levels();
-        prop_assert_eq!(k.depth(), 0);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 use crate::blob::{self, AppSpec};
 use crate::frame::{Frame, FrameSink, FrameSource, Role, MISS_WORD, SHUTDOWN_ROUND};
 use fractal_apps::fsm::{fsm_fractoid, DomainSupport};
-use fractal_apps::{cliques, motifs};
-use fractal_core::FractalContext;
+use fractal_apps::motifs;
+use fractal_core::{FractalContext, FractalGraph};
 use fractal_graph::Graph;
 use fractal_pattern::{CanonicalCode, CountingPlan, GraphStats};
 use fractal_runtime::steal::{encode_unit, StolenUnit};
@@ -732,6 +732,27 @@ pub fn run_cluster(
     run_cluster_links(links, names, config)
 }
 
+/// The root words of `app`'s job on `fg`: a pure function of graph + app,
+/// identical on every process. For FSM they are the same every round
+/// (extensions of the empty subgraph; aggregation filters prune only
+/// deeper levels).
+fn root_words(app: &AppSpec, fg: &FractalGraph) -> Vec<u64> {
+    match app {
+        // Decomposed plans evaluate every vertex as a root (isolated
+        // vertices included — size-1 plan nodes count them), and KClist's
+        // depth-0 extensions are every vertex, so neither needs its
+        // enumerator (for KClist, a clique DAG) built here.
+        AppSpec::Motifs {
+            decomposed: true, ..
+        }
+        | AppSpec::Kclist { .. } => (0..fg.graph().num_vertices() as u64).collect(),
+        AppSpec::Motifs { k, use_labels, .. } => {
+            motifs::motifs_fractoid(fg, *k as usize, *use_labels).step_roots()
+        }
+        AppSpec::Fsm { min_support, .. } => fsm_fractoid(fg, *min_support, 1).step_roots(),
+    }
+}
+
 /// Runs a cluster job over generic frame transports — one
 /// `(source, sink)` pair per worker session. This is the whole driver:
 /// [`run_cluster`] is a thin TCP adapter over it, and the serve daemon
@@ -761,21 +782,7 @@ where
     } = config;
     let job_blob = blob::encode_job(&app, &graph);
     let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph_shared(graph);
-    // Root words are a pure function of graph + app, identical on every
-    // process. For FSM they are the same every round (extensions of the
-    // empty subgraph; aggregation filters prune only deeper levels).
-    let roots = match &app {
-        // Decomposed plans evaluate every vertex as a root (isolated
-        // vertices included — size-1 plan nodes count them).
-        AppSpec::Motifs {
-            decomposed: true, ..
-        } => (0..fg.graph().num_vertices() as u64).collect(),
-        AppSpec::Motifs { k, use_labels, .. } => {
-            motifs::motifs_fractoid(&fg, *k as usize, *use_labels).step_roots()
-        }
-        AppSpec::Kclist { k } => cliques::cliques_kclist_fractoid(&fg, *k as usize).step_roots(),
-        AppSpec::Fsm { min_support, .. } => fsm_fractoid(&fg, *min_support, 1).step_roots(),
-    };
+    let roots = root_words(&app, &fg);
     // The driver compiles the same plan every worker compiles from the
     // shipped graph (compilation is deterministic); it owns the
     // inclusion–exclusion finalize over the summed totals.
@@ -1222,6 +1229,32 @@ impl Drop for LocalCluster {
         }
         for child in children.iter_mut() {
             let _ = child.wait();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fractal_apps::cliques;
+    use fractal_graph::gen;
+
+    #[test]
+    fn kclist_root_words_equal_step_roots() {
+        let fc = FractalContext::new(ClusterConfig::local(1, 1));
+        for g in [
+            gen::orkut_like(300, 3),
+            gen::mico_like(120, 2, 5),
+            gen::star(6),
+        ] {
+            let fg = fc.fractal_graph(g);
+            for k in [1, 3, 5] {
+                assert_eq!(
+                    root_words(&AppSpec::Kclist { k }, &fg),
+                    cliques::cliques_kclist_fractoid(&fg, k as usize).step_roots(),
+                    "k {k}"
+                );
+            }
         }
     }
 }
